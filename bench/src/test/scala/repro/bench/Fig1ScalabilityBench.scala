@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Experiments
-import repro.eval.Experiments.fmt
+import repro.jobs.Figures
 
 /** Fig. 1: TSJ runtime vs #workers for the two dedup strategies.
   *
@@ -15,12 +14,8 @@ class Fig1ScalabilityBench extends SparkSpec {
 
   test("fig1: runtime vs workers and dedup strategy") {
     val n = 100000
-    val rows = Experiments.fig1(spark, n, seed = 7, t = 0.1, m = 1000,
-                                workers = Seq(2, 4, 8, 16), reps = 5)
-    println(s"\n### Fig 1 — TSJ runtime (s) vs workers (n=$n, T=0.1, M=1000)")
-    println(Experiments.markdownTable(
-      Seq("workers", "dedup", "seconds", "pairs"),
-      rows.map(r => Seq(r.workers.toString, r.dedup, fmt(r.seconds), r.pairs.toString))))
+    val rows = Figures.fig1(spark, n)
+    println("\n" + Figures.fig1Table(n, rows))
 
     // Shape checks (lenient — timing noise exists):
     // both strategies agree on the join result,

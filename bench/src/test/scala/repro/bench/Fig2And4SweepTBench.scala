@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.eval.Experiments
-import repro.eval.Experiments.fmt
+import repro.jobs.Figures
 
 /** Figs. 2 & 4: runtime and #pairs/recall vs the NSLD threshold T for the
   * fuzzy / greedy / exact TSJ variants.
@@ -16,18 +16,8 @@ class Fig2And4SweepTBench extends SparkSpec {
 
   test("figs 2 & 4: runtime and pairs/recall vs T") {
     val n = 30000
-    val ts = Seq(0.025, 0.075, 0.125, 0.175, 0.225)
-    val rows = Experiments.sweepT(spark, n, seed = 7, ts = ts, m = 1000)
-
-    println(s"\n### Fig 2 — TSJ runtime (s) vs T (n=$n, M=1000)")
-    println(Experiments.markdownTable(
-      Seq("T", "variant", "seconds"),
-      rows.map(r => Seq(r.param.toString, r.variant, fmt(r.seconds)))))
-
-    println(s"\n### Fig 4 — discovered pairs and recall vs T (n=$n, M=1000)")
-    println(Experiments.markdownTable(
-      Seq("T", "variant", "pairs", "recall"),
-      rows.map(r => Seq(r.param.toString, r.variant, r.pairs.toString, f"${r.recall}%.5f"))))
+    val rows = Figures.fig2(spark, n)
+    println("\n" + Figures.fig2Table(n, rows))
 
     // Shape checks.
     val fuzzy = rows.filter(_.variant == "fuzzy-token-matching").sortBy(_.param)
@@ -44,7 +34,7 @@ class Fig2And4SweepTBench extends SparkSpec {
     // Exact skips the similar-token join — it must be the fastest variant
     // in aggregate.
     val meanSecs = Experiments.Variants.map { case (v, _, _) =>
-      v -> rows.filter(_.variant == v).map(_.seconds).sum / ts.size
+      v -> rows.filter(_.variant == v).map(_.seconds).sum / Figures.Ts.size
     }.toMap
     assert(meanSecs("exact-token-matching") < meanSecs("fuzzy-token-matching"),
       s"mean runtimes: $meanSecs")

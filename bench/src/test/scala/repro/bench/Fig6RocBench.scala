@@ -2,8 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.eval.Experiments
-import repro.eval.Experiments.fmt
+import repro.jobs.Figures
 
 /** Fig. 6: ROC of NSLD vs weighted FJaccard / FCosine / FDice when predicting
   * fraud from the distance between the old and new names on an account.
@@ -15,12 +14,8 @@ class Fig6RocBench extends AnyFunSuite {
 
   test("fig 6: ROC/AUC of the four distance measures") {
     val n = 10000
-    val rows = Experiments.fig6(nPairs = n, seed = 11)
-    println(s"\n### Fig 6 — ROC of distance measures on $n name changes " +
-      "(5000 legit / 5000 fraud)")
-    println(Experiments.markdownTable(
-      Seq("measure", "AUC", "TPR@FPR=0.05", "TPR@FPR=0.10"),
-      rows.map(r => Seq(r.measure, fmt(r.auc), fmt(r.tprAtFpr05), fmt(r.tprAtFpr10)))))
+    val rows = Figures.fig6(n)
+    println("\n" + Figures.fig6Table(n, rows))
 
     val byName = rows.map(r => r.measure -> r.auc).toMap
     val nsld = byName("NSLD")

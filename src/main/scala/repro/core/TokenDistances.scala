@@ -77,6 +77,15 @@ object TokenDistances {
     if (aggLenX == 0 && aggLenY == 0) 0.0
     else 2.0 * sldVal / (aggLenX + aggLenY + sldVal)
 
+  /** True iff a lower bound `sldLowerBound` on SLD already puts the pair
+    * above `t`: the verifier's own `nsldFromSld(...) <= t` cannot hold,
+    * because `nsldFromSld` is monotone in its SLD argument (also in
+    * floating point). The bound is `|L(x) − L(y)|` for Lemma 6 and
+    * [[sldLengthLowerBound]] for the token-length histogram filter.
+    */
+  def nsldExceeds(aggLenX: Int, aggLenY: Int, sldLowerBound: Int, t: Double): Boolean =
+    nsldFromSld(aggLenX, aggLenY, sldLowerBound) > t
+
   /** Exact NSLD (Def. 4). */
   def nsld(xs: Seq[String], ys: Seq[String]): Double =
     nsldFromSld(Tokenizer.aggLength(xs), Tokenizer.aggLength(ys), sld(xs, ys))

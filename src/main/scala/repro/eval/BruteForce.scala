@@ -10,28 +10,24 @@ import repro.names.Account
 object BruteForce {
 
   /** All pairs with `NSLD <= t`, as `(id1, id2, nsld)` with `id1 < id2`.
-    * Applies only the provably-safe Lemma 6 length filter before the exact
-    * SLD computation. O(n²) — test/bench scale only.
+    * Exact NSLD on every pair, with no filter, so that the joins' filters
+    * are checked against it rather than shared with it. O(n²) —
+    * test/bench scale only.
     */
   def nsldSelfJoin(accounts: Seq[Account], t: Double): Set[(Long, Long, Double)] = {
     val recs = accounts
       .map(a => (a.id, Tokenizer.tokenize(a.name)))
       .filter(_._2.nonEmpty)
-      .map { case (id, toks) => (id, toks, Tokenizer.aggLength(toks)) }
       .toIndexedSeq
     val out = Set.newBuilder[(Long, Long, Double)]
     var i = 0
     while (i < recs.length) {
-      val (ida, ta, la) = recs(i)
+      val (ida, ta) = recs(i)
       var j = i + 1
       while (j < recs.length) {
-        val (idb, tb, lb) = recs(j)
-        val lo = math.min(la, lb).toDouble
-        val hi = math.max(la, lb).toDouble
-        if (lo / hi >= (1.0 - t) - 1e-9) {
-          val d = TokenDistances.nsld(ta, tb)
-          if (d <= t) out += ((math.min(ida, idb), math.max(ida, idb), d))
-        }
+        val (idb, tb) = recs(j)
+        val d = TokenDistances.nsld(ta, tb)
+        if (d <= t) out += ((math.min(ida, idb), math.max(ida, idb), d))
         j += 1
       }
       i += 1

@@ -120,9 +120,8 @@ object Hmj {
         val b = recs(j)
         // MR-MAPSS symmetry: only emit where one member is at home.
         if (a.home || b.home) {
-          val lo = math.min(a.aggLen, b.aggLen).toDouble
-          val hi = math.max(a.aggLen, b.aggLen).toDouble
-          if (lo / hi >= (1.0 - t) - 1e-9) {
+          // Lemma 6: SLD >= |L(a) − L(b)|.
+          if (!TokenDistances.nsldExceeds(a.aggLen, b.aggLen, math.abs(a.aggLen - b.aggLen), t)) {
             val d = TokenDistances.nsld(a.tokens, b.tokens)
             if (d <= t) out += ((math.min(a.id, b.id), math.max(a.id, b.id), d))
           }

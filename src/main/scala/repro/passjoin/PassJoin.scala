@@ -5,7 +5,7 @@ import repro.core.Nld
 /** The PassJoin segment/substring signature scheme (Li et al., VLDB 2011),
   * adapted to NLD thresholds via the paper's Lemmas 7–9.
   *
-  * For an indexed string `y` and segment budget `U = floor(2·t·|y|/(2−t))`
+  * For an indexed string `y` and segment budget `U = Nld.maxLdForLongerLen(|y|, t)`
   * (Lemma 8 with `|y|` the longer side), `y` is partitioned into `U + 1`
   * even segments (Lemma 7: if `LD(x,y) <= U`, at least one segment of `y`
   * occurs as a substring of `x`, at a start position shifted by at most `U`).

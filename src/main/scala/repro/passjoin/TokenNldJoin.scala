@@ -11,9 +11,9 @@ import repro.core.Nld
   * chunk signature, shuffle-group on the signature, and reduce matching
   * (segment, substring) pairs to candidate token pairs, which are then
   * de-duplicated and verified. In Catalyst terms this is exactly a shuffle
-  * equi-join of the two chunk DataFrames on the signature key, a residual
-  * position-window predicate, `distinct`, and a banded-LD verification
-  * filter — which is how it is expressed here.
+  * equi-join of the two chunk DataFrames on the signature key, `distinct`,
+  * and a banded-LD verification filter — which is how it is expressed here.
+  * The position window is applied when the probe chunks are generated.
   *
   * Self-join only (the paper's motivating application, Sec. III-G.1): only
   * the `|x| <= |y|` direction is generated, and equal-length pairs are kept
@@ -38,12 +38,10 @@ object TokenNldJoin {
     val probes = toks.flatMap(x => PassJoin.probeChunks(x, t))
       .toDF("chunk", "segIdx", "lenY", "posX", "tokX")
 
-    // The ±U position window (U depends only on lenY) is a residual
-    // predicate on the signature equi-join.
-    val u = floor(lit(2.0 * t) * $"lenY" / lit(2.0 - t))
+    // No position-window predicate: probeChunks emits only substrings
+    // within ±U of their segment's start, so the window already holds.
     val cands = probes
       .join(indexed, Seq("chunk", "segIdx", "lenY"))
-      .where(abs($"posX" - $"posY") <= u)
       .where($"tokX" =!= $"tokY")
       // self-join symmetry: equal lengths kept once (probe side is the
       // shorter side by construction, so only equal lengths can duplicate).

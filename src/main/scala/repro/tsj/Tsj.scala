@@ -56,9 +56,7 @@ object Tsj {
       maxTokenFreq: Long = 1000L,
       matching: TokenMatching = FuzzyTokenMatching,
       aligning: Aligning = HungarianAligning,
-      dedup: DedupStrategy = GroupingOnOneString,
-      lengthFilter: Boolean = true,
-      histogramFilter: Boolean = true) {
+      dedup: DedupStrategy = GroupingOnOneString) {
     require(t > 0 && t <= 0.5, s"NSLD threshold must be in (0, 0.5], got $t")
     require(maxTokenFreq >= 1, "maxTokenFreq must be positive")
   }
@@ -169,12 +167,10 @@ object Tsj {
       idb: Long, toksB: Seq[String], lenB: Int,
       cfg: TsjConfig): Option[(Long, Long, Double)] = {
     val t = cfg.t
-    val lo = math.min(lenA, lenB).toDouble
-    val hi = math.max(lenA, lenB).toDouble
-    // Lemma 6: NSLD >= 1 − lo/hi; prune when that bound already exceeds t.
-    if (cfg.lengthFilter && lo / hi < (1.0 - t) - 1e-9) return None
-    if (cfg.histogramFilter &&
-        TokenDistances.nsldLengthLowerBound(toksA.map(_.length), toksB.map(_.length)) > t + 1e-12)
+    // Lemma 6 (SLD >= |L(x) − L(y)|), then the token-length histogram bound.
+    if (TokenDistances.nsldExceeds(lenA, lenB, math.abs(lenA - lenB), t)) return None
+    if (TokenDistances.nsldExceeds(lenA, lenB,
+          TokenDistances.sldLengthLowerBound(toksA.map(_.length), toksB.map(_.length)), t))
       return None
     val s = cfg.aligning match {
       case HungarianAligning => TokenDistances.sld(toksA, toksB)

@@ -124,6 +124,37 @@ class NldSpec extends AnyFunSuite {
     }
   }
 
+  test("every bound is the exact integer bound of fromLd <= t (t = k/1000, lengths <= 64)") {
+    val maxLen = 64
+    val bad = Seq.newBuilder[String]
+    def check(ok: Boolean, what: => String): Unit = if (!ok) bad += what
+    for (k <- 1 to 500) {
+      val t = k / 1000.0
+      for (ly <- 0 to maxLen) {
+        val u = Nld.maxLdForLongerLen(ly, t)
+        check(u == (0 to ly).filter(d => Nld.fromLd(ly, ly, d) <= t).max, s"U($ly, $t) = $u")
+        val s = Nld.minShorterLen(ly, t)
+        check(s == (0 to ly).filter(lx => Nld.fromLd(lx, ly, ly - lx) <= t).min,
+              s"minShorterLen($ly, $t) = $s")
+        for (lx <- 0 to ly) {
+          val maxLd = Nld.maxLdFor(lx, ly, t)
+          check(maxLd == Nld.maxLdFor(ly, lx, t), s"maxLdFor($lx, $ly, $t) is asymmetric")
+          val lengthsPass = lx >= s && ly <= Nld.maxLongerLen(lx, t)
+          // Every LD the verifier accepts, and only those, is within
+          // maxLdFor; an accepted pair passes U and both length filters.
+          var d = ly - lx
+          while (d <= ly) {
+            val accepted = Nld.fromLd(lx, ly, d) <= t
+            check(accepted == (d <= maxLd), s"maxLdFor($lx, $ly, $t) = $maxLd at LD $d")
+            check(!accepted || (d <= u && lengthsPass), s"filters reject ($lx, $ly, LD $d) at t=$t")
+            d += 1
+          }
+        }
+      }
+    }
+    assert(bad.result().isEmpty, bad.result().take(5))
+  }
+
   test("fromLd is consistent with nld") {
     val rnd = new Random(14)
     for (_ <- 1 to 300) {

@@ -3,13 +3,15 @@ package repro.tsj
 import org.apache.spark.sql.DataFrame
 
 import repro.{Oracle, SparkSpec}
+import repro.core.{Nld, Tokenizer}
 import repro.eval.BruteForce
 import repro.names.{Account, NameGen}
 import repro.tsj.Tsj._
 
 /** End-to-end Spark tests of the TSJ framework against the driver-side brute
-  * force: fuzzy mode must be exact; approximations must keep precision 1;
-  * the two dedup strategies must agree; the filters must be lossless.
+  * force, which applies no filter: fuzzy mode must be exact, so the filters
+  * must be lossless; approximations must keep precision 1; the two dedup
+  * strategies must agree.
   */
 class TsjSpec extends SparkSpec {
 
@@ -34,10 +36,11 @@ class TsjSpec extends SparkSpec {
 
   // --- Exactness of fuzzy-token-matching ---
 
-  for ((t, seed, n) <- Seq((0.1, 70L, 400), (0.2, 71L, 300), (0.3, 72L, 250),
-                           (0.25, 73L, 350), (0.5, 74L, 200))) {
+  for ((t, seed, n, rings) <- Seq((0.1, 70L, 400, 0.3), (0.2, 71L, 300, 0.3),
+                                  (0.3, 72L, 250, 0.3), (0.25, 73L, 350, 0.3),
+                                  (0.5, 74L, 200, 0.3), (0.25, 81L, 300, 0.6))) {
     test(s"fuzzy mode equals brute force exactly (t=$t, n=$n, seed=$seed)") {
-      val accounts = NameGen.corpus(n, seed)
+      val accounts = NameGen.corpus(n, seed, ringFraction = rings)
       val cfg = TsjConfig(t = t, maxTokenFreq = NoCutoff)
       val got = pairsWithDist(Tsj.selfJoin(spark, df(accounts), cfg))
       assert(got == bruteSet(accounts, t))
@@ -48,6 +51,20 @@ class TsjSpec extends SparkSpec {
     val accounts = NameGen.corpus(300, 75L, ringFraction = 0.8, meanRingSize = 8)
     val cfg = TsjConfig(t = 0.2, maxTokenFreq = NoCutoff)
     assert(pairsWithDist(Tsj.selfJoin(spark, df(accounts), cfg)) == bruteSet(accounts, 0.2))
+  }
+
+  // Pairs at NLD exactly t, where a bound rounded from a double (e.g.
+  // floor(2·0.24·11/1.76) = 2) is one too strict and PassJoin misses them.
+  for ((x, y, t) <- Seq(("abcdefghijk", "abcdefghxyz", 0.24),
+                        ("abcdefghijklmnopqrstuvwxyzabcde" + "ffffff",
+                         "abcdefghijklmnopqrstuvwxyzabcde" + "gggggg", 0.15))) {
+    test(s"fuzzy mode finds a token pair at NLD exactly t (|x|=${x.length}, t=$t)") {
+      assert(Nld.nld(x, y) == t)
+      val accounts = Seq(Account(1, x), Account(2, y))
+      val got = pairsWithDist(Tsj.selfJoin(spark, df(accounts), TsjConfig(t, NoCutoff)))
+      assert(got == Set((1L, 2L, t)))
+      assert(got == bruteSet(accounts, t))
+    }
   }
 
   test("fuzzy mode finds the paper's adversarial name edits") {
@@ -150,20 +167,6 @@ class TsjSpec extends SparkSpec {
     }
   }
 
-  // --- Filters ---
-
-  test("length and histogram filters are lossless") {
-    val accounts = NameGen.corpus(300, 81L, ringFraction = 0.6)
-    val d = df(accounts)
-    val base = TsjConfig(0.25, NoCutoff)
-    val all = pairsWithDist(Tsj.selfJoin(spark, d, base))
-    val noLen = pairsWithDist(Tsj.selfJoin(spark, d, base.copy(lengthFilter = false)))
-    val noHist = pairsWithDist(Tsj.selfJoin(spark, d, base.copy(histogramFilter = false)))
-    val none = pairsWithDist(Tsj.selfJoin(spark, d,
-      base.copy(lengthFilter = false, histogramFilter = false)))
-    assert(all == noLen && all == noHist && all == none)
-  }
-
   // --- Max-frequency cutoff M ---
 
   test("M cutoff only removes pairs (monotone in M)") {
@@ -219,12 +222,17 @@ class TsjSpec extends SparkSpec {
 
   // --- Oracle cross-checks of the join idiom ---
 
+  /** `(token, id)` for each distinct token of each account. */
+  private def invertedIndex(accounts: Seq[Account]): DataFrame = {
+    import spark.implicits._
+    accounts
+      .flatMap(a => Tokenizer.tokenize(a.name).distinct.map(tk => (tk, a.id)))
+      .toDF("token", "id")
+  }
+
   test("oracle: shared-token pair generation matches DuckDB") {
     import spark.implicits._
-    val accounts = NameGen.corpus(200, 83L)
-    val inv = accounts
-      .flatMap(a => repro.core.Tokenizer.tokenize(a.name).distinct.map(tk => (tk, a.id)))
-      .toDF("token", "id")
+    val inv = invertedIndex(NameGen.corpus(200, 83L))
     val sparkPairs = inv.toDF("token", "ida").join(inv.toDF("token", "idb"), "token")
       .where($"ida" < $"idb")
       .select($"ida".as("id1"), $"idb".as("id2"))
@@ -241,10 +249,7 @@ class TsjSpec extends SparkSpec {
   test("oracle: token frequency cutoff matches DuckDB") {
     import spark.implicits._
     import org.apache.spark.sql.functions._
-    val accounts = NameGen.corpus(300, 84L)
-    val inv = accounts
-      .flatMap(a => repro.core.Tokenizer.tokenize(a.name).distinct.map(tk => (tk, a.id)))
-      .toDF("token", "id")
+    val inv = invertedIndex(NameGen.corpus(300, 84L))
     val m = 5
     val allowed = inv.groupBy("token").agg(count(lit(1)).as("freq"))
       .where($"freq" <= m).select($"token")
@@ -252,5 +257,17 @@ class TsjSpec extends SparkSpec {
       allowed,
       s"""SELECT token FROM inv GROUP BY token HAVING count(1) <= $m""",
       "inv" -> inv)
+  }
+
+  test("oracle catches a wrong result") {
+    import org.apache.spark.sql.functions._
+    val inv = invertedIndex(NameGen.corpus(100, 85L))
+    val wrong = inv.groupBy("token").agg((count(lit(1)) + 1).as("freq")) // off by one
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        wrong,
+        "SELECT token, count(1) AS freq FROM inv GROUP BY token",
+        "inv" -> inv)
+    }
   }
 }
